@@ -6,7 +6,8 @@
 use htmlsim::{tokenize, PageFeatures, TagInterner, Token};
 use scanner::Acquired;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 /// One unexpected tuple with its acquired content — the unit all
@@ -129,6 +130,8 @@ pub fn detect_phishing(
     records: &[CaseRecord],
     ground_truth_bodies: &BTreeMap<String, String>,
 ) -> Vec<PhishFinding> {
+    let mut pages = Pages::new(ground_truth_bodies);
+    let mut verdicts = HashMap::new();
     let mut by_key: BTreeMap<(Ipv4Addr, String), PhishFinding> = BTreeMap::new();
     for r in records {
         let Some(http) = &r.acquired.http else {
@@ -137,30 +140,9 @@ pub fn detect_phishing(
         if http.status != 200 {
             continue;
         }
-        let mut evidence = Vec::new();
-
-        // Structure: the 46-<img> + POST-form kit.
-        let mut interner = TagInterner::new();
-        let features = PageFeatures::extract(&http.body, &mut interner);
-        let imgs = features.count_of("img", &interner);
-        let forms = features.count_of("form", &interner);
-        if imgs >= 30 && forms >= 1 {
-            evidence.push(format!("image-kit structure ({imgs} img tags + form)"));
-        }
-
-        // Credential form posting to a foreign host / php collector.
-        if let Some(action) = form_action(&http.body) {
-            let foreign = action.starts_with("http://") || action.starts_with("https://");
-            let foreign_host = foreign && !action.contains(&r.domain);
-            if foreign_host && (action.ends_with(".php") || action.contains(".php")) {
-                evidence.push(format!("credential form posts to {action}"));
-            } else if foreign_host
-                && forms >= 1
-                && body_mimics(&http.body, ground_truth_bodies.get(&r.domain))
-            {
-                evidence.push(format!("cloned page posts to {action}"));
-            }
-        }
+        let mut evidence = memoized(&mut verdicts, r, &http.body, || {
+            page_phish_evidence(&http.body, &r.domain, &mut pages)
+        });
 
         // Self-signed TLS on an impersonated domain.
         if let Some(page) = &r.acquired.https_sni {
@@ -192,30 +174,126 @@ pub fn detect_phishing(
     by_key.into_values().collect()
 }
 
-/// Extract the first `<form … action="…">` value.
-fn form_action(body: &str) -> Option<String> {
-    for token in tokenize(body) {
-        if let Token::Open { name, attrs, .. } = token {
-            if name == "form" {
-                for (k, v) in attrs {
-                    if k == "action" {
-                        return Some(v);
-                    }
+/// The phishing evidence a page body carries for `domain`: the image-kit
+/// structure and a credential form posting to a foreign host.
+fn page_phish_evidence(body: &str, domain: &str, pages: &mut Pages<'_>) -> Vec<String> {
+    let mut evidence = Vec::new();
+    let page = parse_page(body, &mut pages.interner);
+
+    // Structure: the 46-<img> + POST-form kit.
+    let imgs = page.features.count_of("img", &pages.interner);
+    let forms = page.features.count_of("form", &pages.interner);
+    if imgs >= 30 && forms >= 1 {
+        evidence.push(format!("image-kit structure ({imgs} img tags + form)"));
+    }
+
+    // Credential form posting to a foreign host / php collector.
+    if let Some(action) = &page.form_action {
+        let foreign = action.starts_with("http://") || action.starts_with("https://");
+        let foreign_host = foreign && !action.contains(domain);
+        if foreign_host && (action.ends_with(".php") || action.contains(".php")) {
+            evidence.push(format!("credential form posts to {action}"));
+        } else if foreign_host && forms >= 1 && pages.mimics(&page, domain) {
+            evidence.push(format!("cloned page posts to {action}"));
+        }
+    }
+    evidence
+}
+
+/// The verdict for record `r`, computed once per `(target_ip, domain)`.
+/// The pipeline fetches each pair once, so every record of a pair
+/// carries the same body; a stored verdict is reused only when the
+/// record's body is the one it was computed from.
+fn memoized<'a, V: Clone>(
+    verdicts: &mut HashMap<(Ipv4Addr, &'a str), (&'a str, V)>,
+    r: &'a CaseRecord,
+    body: &'a str,
+    verdict: impl FnOnce() -> V,
+) -> V {
+    match verdicts.entry((r.target_ip, r.domain.as_str())) {
+        Entry::Occupied(e) if e.get().0 == body => e.get().1.clone(),
+        Entry::Occupied(_) => verdict(),
+        Entry::Vacant(e) => e.insert((body, verdict())).1.clone(),
+    }
+}
+
+/// What the detectors read from one page, taken from one tokenization.
+struct ParsedPage {
+    features: PageFeatures,
+    /// The first `action` attribute of a `<form>`.
+    form_action: Option<String>,
+    /// Every `src` attribute value.
+    srcs: BTreeSet<String>,
+    /// The `src` attribute values of `<script>` tags.
+    script_srcs: BTreeSet<String>,
+}
+
+/// Parses pages under one tag interner, and each domain's ground truth
+/// at most once per detector call.
+struct Pages<'a> {
+    ground_truth_bodies: &'a BTreeMap<String, String>,
+    interner: TagInterner,
+    truths: HashMap<&'a str, ParsedPage>,
+}
+
+impl<'a> Pages<'a> {
+    fn new(ground_truth_bodies: &'a BTreeMap<String, String>) -> Self {
+        Pages {
+            ground_truth_bodies,
+            interner: TagInterner::new(),
+            truths: HashMap::new(),
+        }
+    }
+
+    /// The parsed ground truth of `domain`, if it has one.
+    fn truth(&mut self, domain: &str) -> Option<&ParsedPage> {
+        let (name, body) = self.ground_truth_bodies.get_key_value(domain)?;
+        let interner = &mut self.interner;
+        Some(
+            self.truths
+                .entry(name.as_str())
+                .or_insert_with(|| parse_page(body, interner)),
+        )
+    }
+
+    /// Whether `page` is structurally close to `domain`'s ground truth
+    /// (>60% of opening tags shared).
+    fn mimics(&mut self, page: &ParsedPage, domain: &str) -> bool {
+        self.truth(domain).is_some_and(|gt| {
+            htmlsim::distance::jaccard_multiset(
+                &page.features.tag_multiset,
+                &gt.features.tag_multiset,
+            ) < 0.4
+        })
+    }
+}
+
+fn parse_page(body: &str, interner: &mut TagInterner) -> ParsedPage {
+    let tokens = tokenize(body);
+    let mut form_action = None;
+    let mut srcs = BTreeSet::new();
+    let mut script_srcs = BTreeSet::new();
+    for token in &tokens {
+        let Token::Open { name, attrs, .. } = token else {
+            continue;
+        };
+        for (k, v) in attrs {
+            if k == "action" && name == "form" && form_action.is_none() {
+                form_action = Some(v.clone());
+            } else if k == "src" {
+                srcs.insert(v.clone());
+                if name == "script" {
+                    script_srcs.insert(v.clone());
                 }
             }
         }
     }
-    None
-}
-
-/// Whether `body` is structurally close to the ground truth (>60% of
-/// opening tags shared).
-fn body_mimics(body: &str, gt: Option<&String>) -> bool {
-    let Some(gt) = gt else { return false };
-    let mut interner = TagInterner::new();
-    let a = PageFeatures::extract(body, &mut interner);
-    let b = PageFeatures::extract(gt, &mut interner);
-    htmlsim::distance::jaccard_multiset(&a.tag_multiset, &b.tag_multiset) < 0.4
+    ParsedPage {
+        features: PageFeatures::from_tokens(body.len(), &tokens, interner),
+        form_action,
+        srcs,
+        script_srcs,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -250,6 +328,8 @@ pub fn detect_ad_manipulation(
     records: &[CaseRecord],
     ground_truth_bodies: &BTreeMap<String, String>,
 ) -> AdReport {
+    let mut pages = Pages::new(ground_truth_bodies);
+    let mut verdicts = HashMap::new();
     let mut report = AdReport::default();
     for r in records {
         let Some(http) = &r.acquired.http else {
@@ -261,35 +341,9 @@ pub fn detect_ad_manipulation(
         if http.status != 200 || &http.body == gt {
             continue;
         }
-        let body = &http.body;
-        let lower = body.to_ascii_lowercase();
-        let class = if lower.contains("did you mean") && lower.contains("search") {
-            Some(AdManipulation::FakeSearchFront)
-        } else if body_mimics(body, Some(gt)) {
-            // Injection classes require the page to still *be* the ad
-            // provider's page — unrelated redirect targets (error pages,
-            // misc sites) have their own src attributes and must not
-            // count as injections.
-            let gt_srcs = src_hosts(gt);
-            let srcs = src_hosts(body);
-            let added: Vec<&String> = srcs.difference(&gt_srcs).collect();
-            let removed: Vec<&String> = gt_srcs.difference(&srcs).collect();
-            let added_script = script_srcs(body)
-                .difference(&script_srcs(gt))
-                .next()
-                .is_some();
-            if body.contains("/blank.gif") && !removed.is_empty() {
-                Some(AdManipulation::BlankedAds)
-            } else if added_script {
-                Some(AdManipulation::InjectedScript)
-            } else if !added.is_empty() {
-                Some(AdManipulation::InjectedBanner)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
+        let class = memoized(&mut verdicts, r, &http.body, || {
+            ad_manipulation(&http.body, &r.domain, &mut pages)
+        });
         if let Some(class) = class {
             report
                 .by_class
@@ -306,34 +360,38 @@ pub fn detect_ad_manipulation(
     report
 }
 
-fn src_hosts(body: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for token in tokenize(body) {
-        if let Token::Open { attrs, .. } = token {
-            for (k, v) in attrs {
-                if k == "src" {
-                    out.insert(v);
-                }
-            }
-        }
+/// The manipulation a body that differs from `domain`'s ground truth
+/// shows, if any.
+fn ad_manipulation(body: &str, domain: &str, pages: &mut Pages<'_>) -> Option<AdManipulation> {
+    let lower = body.to_ascii_lowercase();
+    if lower.contains("did you mean") && lower.contains("search") {
+        return Some(AdManipulation::FakeSearchFront);
     }
-    out
-}
-
-fn script_srcs(body: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for token in tokenize(body) {
-        if let Token::Open { name, attrs, .. } = token {
-            if name == "script" {
-                for (k, v) in attrs {
-                    if k == "src" {
-                        out.insert(v);
-                    }
-                }
-            }
-        }
+    // Injection classes require the page to still *be* the ad
+    // provider's page — unrelated redirect targets (error pages, misc
+    // sites) have their own src attributes and must not count as
+    // injections.
+    let page = parse_page(body, &mut pages.interner);
+    if !pages.mimics(&page, domain) {
+        return None;
     }
-    out
+    let gt = pages.truth(domain)?;
+    let added_src = page.srcs.difference(&gt.srcs).next().is_some();
+    let removed_src = gt.srcs.difference(&page.srcs).next().is_some();
+    let added_script = page
+        .script_srcs
+        .difference(&gt.script_srcs)
+        .next()
+        .is_some();
+    if body.contains("/blank.gif") && removed_src {
+        Some(AdManipulation::BlankedAds)
+    } else if added_script {
+        Some(AdManipulation::InjectedScript)
+    } else if added_src {
+        Some(AdManipulation::InjectedBanner)
+    } else {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -523,6 +581,32 @@ mod tests {
         gts.insert("bank.example".to_string(), gt.clone());
         let records = vec![rec(9, "bank.example", "41.0.0.1", Some(&gt))];
         assert!(detect_phishing(&records, &gts).is_empty());
+    }
+
+    #[test]
+    fn verdicts_follow_the_body_within_one_pair() {
+        let kit = gen::phishing_kit_images("paypal", &PageCtx::new("paypal.example", 1));
+        let gt = gen::legit_site(SiteCategory::Ads, &PageCtx::new("adnet.example", 5));
+        let injected = gen::inject_ad(&gt, "ads.rogue.example");
+        let mut gts = BTreeMap::new();
+        gts.insert("adnet.example".to_string(), gt);
+        // Records of one (target, domain) pair usually carry one fetched
+        // body; when they do not, each body gets its own verdict.
+        let records = vec![
+            rec(1, "paypal.example", "40.0.0.1", Some(&kit)),
+            rec(2, "paypal.example", "40.0.0.1", Some("<html>plain</html>")),
+            rec(3, "paypal.example", "40.0.0.1", Some(&kit)),
+            rec(4, "adnet.example", "50.0.0.1", Some("<html>plain</html>")),
+            rec(5, "adnet.example", "50.0.0.1", Some(&injected)),
+        ];
+        let findings = detect_phishing(&records, &gts);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].resolvers, [1u32, 3].into_iter().collect());
+        let report = detect_ad_manipulation(&records, &gts);
+        assert_eq!(
+            report.resolvers[&AdManipulation::InjectedBanner],
+            [5u32].into_iter().collect()
+        );
     }
 
     #[test]

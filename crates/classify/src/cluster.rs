@@ -205,23 +205,35 @@ impl Dendrogram {
 }
 
 /// Build the page distance matrix in parallel.
+///
+/// Row `i` of the upper triangle holds `n − i − 1` pairs, and the
+/// parallel map hands each thread one contiguous block of work items.
+/// One item per row would give the first thread the longest rows, so an
+/// item computes row `k` together with row `n − 1 − k`: every item holds
+/// `n − 1` pairs (the middle row of an odd `n` stands alone).
 fn page_matrix(items: &[PageFeatures], weights: &FeatureWeights) -> Vec<f32> {
     let n = items.len();
-    let mut dist = vec![0f32; n * n];
-    let rows: Vec<Vec<f32>> = (0..n)
+    // Row `i`'s distances to items `i + 1..n`.
+    let row = |i: usize| -> Vec<f32> {
+        items[i + 1..]
+            .iter()
+            .map(|b| page_distance(&items[i], b, weights) as f32)
+            .collect()
+    };
+    let row_pairs: Vec<(Vec<f32>, Vec<f32>)> = (0..n.div_ceil(2))
         .into_par_iter()
-        .map(|i| {
-            let mut row = vec![0f32; n];
-            for j in (i + 1)..n {
-                row[j] = page_distance(&items[i], &items[j], weights) as f32;
-            }
-            row
+        .map(|k| {
+            let far = n - 1 - k;
+            (row(k), if far > k { row(far) } else { Vec::new() })
         })
         .collect();
-    for (i, row) in rows.into_iter().enumerate() {
-        for (j, v) in row.into_iter().enumerate().skip(i + 1) {
-            dist[i * n + j] = v;
-            dist[j * n + i] = v;
+    let mut dist = vec![0f32; n * n];
+    for (k, (near, far)) in row_pairs.into_iter().enumerate() {
+        for (i, tail) in [(k, near), (n - 1 - k, far)] {
+            for (j, v) in (i + 1..).zip(tail) {
+                dist[i * n + j] = v;
+                dist[j * n + i] = v;
+            }
         }
     }
     dist
@@ -363,6 +375,43 @@ mod tests {
         // Each family in its own cluster(s): 3–6 clusters total is sane
         // (error pages have several idioms).
         assert!((3..=7).contains(&flat.len()), "clusters: {}", flat.len());
+    }
+
+    #[test]
+    fn balanced_matrix_equals_serial_build() {
+        let mut interner = TagInterner::new();
+        let pages: Vec<PageFeatures> = (0..129u64)
+            .map(|s| {
+                let ctx = PageCtx::new(&format!("d{}.example", s % 7), s);
+                let html = match s % 4 {
+                    0 => gen::router_login(gen::RouterVendor::ZyRouter, &ctx),
+                    1 => gen::http_error(404, &ctx),
+                    2 => gen::parking_page("parkco", &ctx),
+                    _ => gen::legit_site(gen::SiteCategory::Banking, &ctx),
+                };
+                PageFeatures::extract(&html, &mut interner)
+            })
+            .collect();
+        let weights = FeatureWeights::default();
+        for n in [0, 1, 2, 3, 64, 65, 129] {
+            let items = &pages[..n];
+            let mut serial = vec![0f32; n * n];
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let v = page_distance(&items[i], &items[j], &weights) as f32;
+                    serial[i * n + j] = v;
+                    serial[j * n + i] = v;
+                }
+            }
+            let balanced = page_matrix(items, &weights);
+            let bits = |m: &[f32]| m.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&balanced), bits(&serial), "n = {n}");
+            assert_eq!(
+                cluster_pages(items, &weights, 0.35),
+                agglomerate(n, serial, None).cut(0.35),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

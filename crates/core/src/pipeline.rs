@@ -868,6 +868,9 @@ pub fn run_analysis_with_fleet(
         }
     }
 
+    // One span over the stages after labeling: Table 5, Figure 4,
+    // censorship and the case studies.
+    let mut sp_cases = telemetry::span("pipeline.cases", world.now().millis());
     // ---- Table 5 ----
     {
         // (domain, label) → distinct suspicious resolvers.
@@ -1028,7 +1031,9 @@ pub fn run_analysis_with_fleet(
         report.cases.ads = detect_ad_manipulation(&records, &gt_bodies);
         report.cases.mail = detect_mail_interception(&records, &gt_mail_banners);
         report.cases.malware = detect_malware_updates(&records);
+        sp_cases.attr("case_records", records.len());
     }
+    sp_cases.finish(world.now().millis());
 
     sp_run.attr("clusters", report.clusters);
     sp_run.finish(world.now().millis());

@@ -8,7 +8,8 @@ use std::collections::BTreeMap;
 
 /// Cap on the amount of JavaScript fed to the edit-distance feature.
 /// Pages ship megabytes of minified JS; the first few KiB identify the
-/// page family just as well and keep O(n·m) edit distance tractable.
+/// page family just as well. The bit-parallel edit distance costs
+/// O(⌈m/64⌉·n), so two capped scripts take 64 word steps per byte.
 pub const JS_FEATURE_CAP: usize = 4096;
 /// Cap on title length used by the title edit distance.
 pub const TITLE_FEATURE_CAP: usize = 256;
